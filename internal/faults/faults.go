@@ -16,7 +16,14 @@
 // node, tick). Fault-injected runs therefore remain pure functions of
 // (topology seed, run seed, fault seed) and replay byte-identically across
 // worker counts, which Table 12's golden snapshot and the workers
-// determinism test pin.
+// determinism test pin. Time-independent membership (jammers, deaf
+// receivers, protected nodes) is drawn once per node when the engine is
+// sized and read from per-node sets afterwards; the sets hold exactly the
+// values the per-node draws return.
+//
+// The simulator consults DropRecv only for receptions that decoded, once
+// each (see sim.Injector), so the "deaf-drops" and "dropped-recv" counters
+// count frames that would have been received and were lost.
 package faults
 
 import (
@@ -100,6 +107,11 @@ type Engine struct {
 	restartAt []int // tick at which an engine-crashed node revives; -1 = up
 	stallEnd  []int // first tick at which the node's clock runs again
 
+	// Per-node membership, precomputed at the first BeginTick from the same
+	// draws drawJammed/drawDeaf make. Until then (an engine driven by hand)
+	// every query draws afresh, with identical answers.
+	jamSet, deafSet, protSet []bool
+
 	ctr *metrics.Counters
 }
 
@@ -146,12 +158,36 @@ func at(base *rng.Source, v, tick int) *rng.Source {
 // jammedNode reports membership in the stuck-transmitter subset — a pure
 // function of (Seed, v), independent of time.
 func (e *Engine) jammedNode(v int) bool {
-	return e.spec.JamFraction > 0 && !e.protect[v] &&
-		e.jam.Fork(uint64(v)).Bernoulli(e.spec.JamFraction)
+	if v < len(e.jamSet) {
+		return e.jamSet[v]
+	}
+	return e.drawJammed(v)
 }
 
 // deafNode reports membership in the deaf-receiver subset.
 func (e *Engine) deafNode(v int) bool {
+	if v < len(e.deafSet) {
+		return e.deafSet[v]
+	}
+	return e.drawDeaf(v)
+}
+
+// protected reports whether v is exempt from the node-targeted classes.
+func (e *Engine) protected(v int) bool {
+	if v < len(e.protSet) {
+		return e.protSet[v]
+	}
+	return e.protect[v]
+}
+
+// drawJammed derives stuck-transmitter membership from the jam stream.
+func (e *Engine) drawJammed(v int) bool {
+	return e.spec.JamFraction > 0 && !e.protect[v] &&
+		e.jam.Fork(uint64(v)).Bernoulli(e.spec.JamFraction)
+}
+
+// drawDeaf derives deaf-receiver membership from the deaf stream.
+func (e *Engine) drawDeaf(v int) bool {
 	return e.spec.DeafFraction > 0 && !e.protect[v] &&
 		e.deaf.Fork(uint64(v)).Bernoulli(e.spec.DeafFraction)
 }
@@ -165,16 +201,20 @@ func (e *Engine) Faulty(v int) bool {
 	return e.jammedNode(v) || e.deafNode(v)
 }
 
-// size lazily allocates per-node schedule state once n is known.
+// size lazily allocates per-node schedule state and membership sets once n
+// is known.
 func (e *Engine) size(n int) {
 	if e.restartAt != nil {
 		return
 	}
 	e.restartAt = make([]int, n)
 	e.stallEnd = make([]int, n)
+	jam, deaf, prot := make([]bool, n), make([]bool, n), make([]bool, n)
 	for v := range e.restartAt {
 		e.restartAt[v] = -1
+		jam[v], deaf[v], prot[v] = e.drawJammed(v), e.drawDeaf(v), e.protect[v]
 	}
+	e.jamSet, e.deafSet, e.protSet = jam, deaf, prot
 }
 
 // BeginTick runs the crash/restart and stall schedules. Nodes are visited
@@ -191,14 +231,14 @@ func (e *Engine) BeginTick(s *sim.Sim, tick int) {
 			}
 			continue // down, or up only as of this tick: no new crash yet
 		}
-		if e.spec.CrashRate > 0 && !e.protect[v] && s.Alive(v) &&
+		if e.spec.CrashRate > 0 && !e.protected(v) && s.Alive(v) &&
 			at(e.crash, v, tick).Bernoulli(e.spec.CrashRate) {
 			s.Kill(v)
 			e.restartAt[v] = tick + e.spec.CrashDowntime
 			e.ctr.Add("crashes", 1)
 			continue
 		}
-		if e.spec.StallRate > 0 && !e.protect[v] && tick >= e.stallEnd[v] &&
+		if e.spec.StallRate > 0 && !e.protected(v) && tick >= e.stallEnd[v] &&
 			at(e.stall, v, tick).Bernoulli(e.spec.StallRate) {
 			e.stallEnd[v] = tick + e.spec.StallLen
 			e.ctr.Add("stalls", 1)
@@ -240,7 +280,10 @@ func (e *Engine) Seized(v, tick int) (sim.Action, bool) {
 }
 
 // DropRecv loses receptions at deaf receivers, suppresses decoding of jam
-// carriers everywhere, and applies the random per-reception drop rate.
+// carriers everywhere, and applies the random per-reception drop rate. The
+// simulator asks only about receptions that decoded, so "deaf-drops" and
+// "dropped-recv" count frames that would have been received; a jam carrier
+// is no frame and counts nowhere.
 func (e *Engine) DropRecv(u, v, tick int) bool {
 	if tick >= e.spec.JamFrom && e.jammedNode(u) {
 		return true // the jam carrier is pure interference, never a frame
@@ -263,7 +306,7 @@ func (e *Engine) DropRecv(u, v, tick int) bool {
 // targets the fields the slot could have populated.
 func (e *Engine) Observation(v, tick int, obs *sim.Observation) {
 	q := e.spec.SenseRate
-	if q <= 0 || e.protect[v] {
+	if q <= 0 || e.protected(v) {
 		return
 	}
 	h := at(e.sense, v, tick)

@@ -294,3 +294,69 @@ func TestMembershipDeterministicAndProtected(t *testing.T) {
 		}
 	}
 }
+
+// The precomputed membership sets hold exactly what the per-node draws
+// return, for every spec in the matrix; Faulty agrees with both; and an
+// engine driven by hand, never sized, answers Seized and DropRecv exactly as
+// a sized one does and counts the same events.
+func TestFaultMembershipMatchesDraws(t *testing.T) {
+	protects := [][]int{nil, {0}, {0, 5, 17, 255, 1023}}
+	for _, seed := range []uint64{1, 99, 0xfeed} {
+		for _, jam := range []float64{0, 0.1, 0.5, 1} {
+			for _, deaf := range []float64{0, 0.1, 0.3} {
+				for pi, prot := range protects {
+					for _, n := range []int{1, 37, 256, 1024} {
+						spec := Spec{Seed: seed, JamFraction: jam, DeafFraction: deaf,
+							DropRate: 0.2, Protect: prot}
+						name := fmt.Sprintf("seed=%d jam=%v deaf=%v protect#%d n=%d", seed, jam, deaf, pi, n)
+						checkMembership(t, name, spec, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkMembership(t *testing.T, name string, spec Spec, n int) {
+	t.Helper()
+	hand, sized := New(spec), New(spec)
+	sized.size(n)
+	if len(sized.jamSet) != n || len(sized.deafSet) != n || len(sized.protSet) != n {
+		t.Fatalf("%s: sets sized %d/%d/%d, want %d", name,
+			len(sized.jamSet), len(sized.deafSet), len(sized.protSet), n)
+	}
+	if hand.jamSet != nil {
+		t.Fatalf("%s: engine sized before any BeginTick", name)
+	}
+	for v := 0; v < n; v++ {
+		jam, deaf := hand.drawJammed(v), hand.drawDeaf(v)
+		if sized.jamSet[v] != jam || sized.jammedNode(v) != jam || hand.jammedNode(v) != jam {
+			t.Fatalf("%s: node %d jam membership: set %v, draw %v", name, v, sized.jamSet[v], jam)
+		}
+		if sized.deafSet[v] != deaf || sized.deafNode(v) != deaf || hand.deafNode(v) != deaf {
+			t.Fatalf("%s: node %d deaf membership: set %v, draw %v", name, v, sized.deafSet[v], deaf)
+		}
+		if sized.protSet[v] != hand.protect[v] || sized.protected(v) != hand.protected(v) {
+			t.Fatalf("%s: node %d protection: set %v, map %v", name, v, sized.protSet[v], hand.protect[v])
+		}
+		if f := jam || deaf; sized.Faulty(v) != f || hand.Faulty(v) != f {
+			t.Fatalf("%s: node %d Faulty sized=%v hand=%v, draws say %v",
+				name, v, sized.Faulty(v), hand.Faulty(v), f)
+		}
+	}
+	// Hand-driven queries: a sample of (u, v, tick) pairs on both engines.
+	for i := 0; i < 64; i++ {
+		u, v, tick := (i*7919)%n, (i*104729+3)%n, i%5
+		ha, hok := hand.Seized(v, tick)
+		sa, sok := sized.Seized(v, tick)
+		if hok != sok || ha != sa {
+			t.Fatalf("%s: Seized(%d,%d) hand (%+v,%v) sized (%+v,%v)", name, v, tick, ha, hok, sa, sok)
+		}
+		if h, s := hand.DropRecv(u, v, tick), sized.DropRecv(u, v, tick); h != s {
+			t.Fatalf("%s: DropRecv(%d,%d,%d) hand %v sized %v", name, u, v, tick, h, s)
+		}
+	}
+	if h, s := hand.Counters().String(), sized.Counters().String(); h != s {
+		t.Fatalf("%s: counters hand %s sized %s", name, h, s)
+	}
+}

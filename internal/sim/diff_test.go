@@ -125,12 +125,13 @@ type diffScenario struct {
 // construction (construction itself is shared, so both variants start from
 // bit-identical caches).
 func runDiff(t *testing.T, sc diffScenario, disableGrid bool) string {
-	return runDiffCfg(t, sc, disableGrid, nil)
+	return runDiffCfg(t, sc, disableGrid, nil, nil)
 }
 
-// runDiffCfg is runDiff with a Config hook, letting the field-mode and
-// quiescence differential suites reuse the same scenario machinery.
-func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Config)) string {
+// runDiffCfg is runDiff with a Config hook, applied before construction,
+// and a Sim hook, applied after it, letting the field-mode, quiescence and
+// reception-driver differential suites reuse the same scenario machinery.
+func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Config), prepare func(*Sim)) string {
 	t.Helper()
 	var log strings.Builder
 	side := workload.SideForDegree(sc.n, 12, 10)
@@ -167,6 +168,9 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 	if disableGrid {
 		s.grid = nil
 	}
+	if prepare != nil {
+		prepare(s)
+	}
 	drv := rng.New(sc.seed ^ 0xd21f)
 	for i := 0; i < sc.ticks; i++ {
 		if sc.churn {
@@ -196,15 +200,14 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 	}
 	fmt.Fprintf(&log, "t %d %d %d\n", s.TotalTransmissions(), s.TotalMassDeliveries(), s.InvalidOps())
 	// Guard against a vacuous comparison: the grid variant must actually have
-	// used the index (injected runs keep the scan reception driver for fault
-	// counter discipline, but dynamic ones still route neighbourhood queries
-	// through the grid).
+	// used the index — the indexed reception driver, injected runs included,
+	// and for dynamic runs the grid-backed neighbourhood queries.
 	if !disableGrid {
 		if got := s.IndexMode(); got != "grid" {
 			t.Fatalf("IndexMode = %q, want grid", got)
 		}
 		st := s.IndexStats()
-		if !sc.inject && st.TxQueries == 0 {
+		if st.TxQueries == 0 {
 			t.Fatal("indexed reception path was never exercised")
 		}
 		if sc.dynamic && st.NeighborQueries == 0 {
@@ -221,8 +224,23 @@ func runDiffCfg(t *testing.T, sc diffScenario, disableGrid bool, mutate func(*Co
 // byte-identical observable history — receptions, sensing outcomes, slot
 // events, RSS bits, per-node outcomes — as the brute-force scan simulation.
 func TestGridScanEquivalence(t *testing.T) {
+	for _, sc := range diffScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			grid := runDiff(t, sc, false)
+			brute := runDiff(t, sc, true)
+			if grid != brute {
+				t.Fatalf("grid and brute histories diverge:\n%s", firstDiffLine(grid, brute))
+			}
+		})
+	}
+}
+
+// diffScenarios is the scenario matrix of the grid/scan differential test:
+// every model family crossed with channels, power scales, churn, mobility
+// and fault injection.
+func diffScenarios() []diffScenario {
 	grey := func(d float64) bool { return math.Sin(d*13.7) > 0 }
-	scenarios := []diffScenario{
+	return []diffScenario{
 		{name: "udg", n: 220, ticks: 120, seed: 1,
 			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: CD | ACK | NTD},
@@ -258,15 +276,6 @@ func TestGridScanEquivalence(t *testing.T) {
 		{name: "faults", n: 220, ticks: 150, seed: 11, inject: true, dynamic: true,
 			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: CD | ACK},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			grid := runDiff(t, sc, false)
-			brute := runDiff(t, sc, true)
-			if grid != brute {
-				t.Fatalf("grid and brute histories diverge:\n%s", firstDiffLine(grid, brute))
-			}
-		})
 	}
 }
 

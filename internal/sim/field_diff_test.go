@@ -77,7 +77,7 @@ func runFieldDiff(t *testing.T, sc diffScenario, mode FieldMode, epoch int) stri
 		cfg.FieldMode = mode
 		cfg.FieldEpoch = epoch
 		cfg.Metrics = reg
-	})
+	}, nil)
 	return history + reg.Snapshot().String()
 }
 

@@ -9,10 +9,16 @@ package sim
 // order, or on how many times a query method is invoked. The simulator in
 // turn guarantees a fixed call discipline — BeginTick once per tick, Seized
 // exactly once per alive node per tick in increasing node order, DropRecv
-// once per candidate reception in the deterministic resolution order, and
-// Observation once per acting node — so fault-injected runs stay pure
-// functions of (topology seed, run seed, fault seed) and replay
-// byte-identically at any worker count.
+// exactly once per decoded pair, and Observation once per acting node — so
+// fault-injected runs stay pure functions of (topology seed, run seed,
+// fault seed) and replay byte-identically at any worker count.
+//
+// DropRecv is asked only after the model decoded the pair, so its call set
+// is the slot's decoded (transmitter, listener) pairs, the same whichever
+// reception driver runs. The order within a slot is transmitter-outward
+// (ascending transmitter, listeners in index order) on the indexed driver
+// and listener-major on the scan, so an implementation's answers and
+// counters may not depend on it.
 type Injector interface {
 	// BeginTick runs before the tick's actions are collected. The injector
 	// may mutate the network through the public dynamics surface (Kill,
@@ -31,8 +37,9 @@ type Injector interface {
 
 	// DropRecv reports whether v's otherwise-successful reception of u's
 	// transmission this tick is lost (deaf receiver, random message drop,
-	// undecodable jam carrier). The drop is ground truth: it also voids
-	// mass delivery, coverage and first-decode accounting.
+	// undecodable jam carrier). It is called only for pairs that decoded,
+	// once each. The drop is ground truth: it also voids mass delivery,
+	// coverage and first-decode accounting.
 	DropRecv(u, v, tick int) bool
 
 	// Observation may corrupt node v's sensing outcome after the slot

@@ -258,23 +258,28 @@ type Sim struct {
 	firstCover []int32
 
 	// Scratch buffers reused across slots.
-	txBuf      []int
-	actedBuf   []int
-	totalPower []float64
-	recvBuf    [][]Recv
-	massBuf    []bool
-	massAckBuf []bool
-	scaleBuf   []float64
-	chanBuf    []int8
-	chanTx     [][]int
-	seizedBuf  []bool
-	msgBuf     []Message // message per transmitter id; valid where isTxBuf
-	isTxBuf    []bool    // transmitter membership this slot
-	nbrBuf     []int     // grid-backed forEachNeighbor scratch
-	massDelBuf []int     // SlotEvent.MassDeliverers scratch (observer runs only)
-	decodersBuf []int    // SlotEvent.Decoders scratch (observer runs only)
-	views      []slotView
-	obsBuf     Observation
+	txBuf       []int
+	actedBuf    []int
+	totalPower  []float64
+	recvBuf     [][]Recv
+	massBuf     []bool
+	massAckBuf  []bool
+	scaleBuf    []float64
+	chanBuf     []int8
+	chanTx      [][]int
+	seizedBuf   []bool
+	msgBuf      []Message // message per transmitter id; valid where isTxBuf
+	isTxBuf     []bool    // transmitter membership this slot
+	nbrBuf      []int     // grid-backed forEachNeighbor scratch
+	massDelBuf  []int     // SlotEvent.MassDeliverers scratch (observer runs only)
+	decodersBuf []int     // SlotEvent.Decoders scratch (observer runs only)
+	views       []slotView
+	obsBuf      Observation
+
+	// recvOracle, when set, runs Phase 3 of Step in place of receive. Only
+	// the differential tests set it, to run a reference reception driver
+	// on the same slot state.
+	recvOracle func(s *Sim, inj Injector)
 }
 
 // IndexStats counts the spatial-index work a simulation has performed, for

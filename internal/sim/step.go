@@ -309,100 +309,12 @@ func (s *Sim) Step() {
 		s.views[c].reset(s, tx, int8(c), epoch)
 	}
 
-	// Phase 3: receptions. Two equivalent drivers:
-	//
-	// Indexed (transmitter-outward): each transmitter pushes to the
-	// listeners the spatial index finds inside its decode cutoff — the
-	// model's MaxDecodeRange, widened by scale^{1/ζ} for boosted
-	// transmissions and narrowed to scale^{1/ζ}·R for attenuated ones.
-	// Beyond the cutoff Decodes is guaranteed false, so skipping those
-	// pairs changes nothing. Iterating transmitters in ascending id keeps
-	// every recvBuf[v] in the same ascending-transmitter order the listener
-	// scan produces.
-	//
-	// Scan (listener-oriented): every alive non-transmitting listener
-	// checks every same-channel transmitter. Used when there is no index,
-	// no declared cutoff, or — crucially — when an injector is attached:
-	// Injector.DropRecv is specified to run once per candidate pair in the
-	// scan order, and its observable side effects (fault counters) must
-	// not depend on the indexing strategy.
-	for v := 0; v < s.n; v++ {
-		s.recvBuf[v] = s.recvBuf[v][:0]
-	}
-	mdl := s.cfg.Model
-	if s.grid != nil && inj == nil && s.maxDecode > 0 {
-		zinv := 1 / s.cfg.Zeta
-		for _, u := range s.txBuf {
-			sc := s.scaleBuf[u]
-			cutoff := s.maxDecode
-			if sc > 1 {
-				cutoff *= math.Pow(sc, zinv)
-			} else if sc < 1 {
-				if r := math.Pow(sc, zinv) * mdl.R(); r < cutoff {
-					cutoff = r
-				}
-			}
-			uc := s.chanBuf[u]
-			vw := &s.views[uc]
-			s.idx.TxQueries++
-			it := s.grid.IterWithin(s.euclid.Point(u), cutoff*indexSlack)
-			for {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				s.idx.Candidates++
-				if v == u || s.isTxBuf[v] || s.chanBuf[v] != uc || !s.alive[v] {
-					continue
-				}
-				if sc < 1 {
-					maxRange := math.Pow(sc, zinv) * mdl.R()
-					if s.cfg.Space.Dist(u, v) > maxRange {
-						continue
-					}
-				}
-				if mdl.Decodes(vw, u, v) {
-					s.recvBuf[v] = append(s.recvBuf[v], Recv{
-						From: u,
-						Msg:  s.msgBuf[u],
-						RSS:  s.field.Power(u, v) * sc,
-					})
-				}
-			}
-		}
+	// Phase 3: receptions (see receive). recvOracle is nil outside the
+	// differential tests.
+	if s.recvOracle != nil {
+		s.recvOracle(s, inj)
 	} else {
-		for v := 0; v < s.n; v++ {
-			if !s.alive[v] {
-				continue
-			}
-			if s.isTxBuf[v] {
-				continue // half-duplex
-			}
-			vw := &s.views[s.chanBuf[v]]
-			for _, u := range vw.tx {
-				if inj != nil && inj.DropRecv(u, v, s.tick) {
-					// Ground-truth loss: the frame never reaches v's protocol,
-					// so u's mass delivery and coverage miss v this slot too.
-					continue
-				}
-				// A power-scaled transmission is decodable only within the
-				// reduced range scale^{1/ζ}·R (exact for SINR, and the defining
-				// cutoff for models without a power notion).
-				if s.scaleBuf[u] < 1 {
-					maxRange := math.Pow(s.scaleBuf[u], 1/s.cfg.Zeta) * mdl.R()
-					if s.cfg.Space.Dist(u, v) > maxRange {
-						continue
-					}
-				}
-				if mdl.Decodes(vw, u, v) {
-					s.recvBuf[v] = append(s.recvBuf[v], Recv{
-						From: u,
-						Msg:  s.msgBuf[u],
-						RSS:  s.field.Power(u, v) * s.scaleBuf[u],
-					})
-				}
-			}
-		}
+		s.receive(inj)
 	}
 	// First-decode and coverage bookkeeping, in ascending listener order and
 	// ascending transmitter order within each listener — the same sequence
@@ -603,6 +515,105 @@ func (s *Sim) Step() {
 
 	s.tick++
 	s.maybeArmQuiet()
+}
+
+// receive is Phase 3 of Step: it fills recvBuf[v] with the receptions each
+// listener decoded this slot, in ascending transmitter order. Two
+// equivalent drivers:
+//
+// Indexed (transmitter-outward): each transmitter pushes to the listeners
+// the spatial index finds inside its decode cutoff — the model's
+// MaxDecodeRange, widened by scale^{1/ζ} for boosted transmissions and
+// narrowed to scale^{1/ζ}·R for attenuated ones. Beyond the cutoff Decodes
+// is guaranteed false, so skipping those pairs changes nothing. Iterating
+// transmitters in ascending id keeps every recvBuf[v] in the same
+// ascending-transmitter order the listener scan produces.
+//
+// Scan (listener-oriented): every alive non-transmitting listener checks
+// every same-channel transmitter. Used when there is no index or no
+// declared cutoff.
+//
+// Both drivers consult an attached injector only for pairs that decoded
+// (decode first, then drop), so DropRecv runs exactly once per decoded
+// pair whichever driver serves the run. Every Decodes is a pure function of
+// the slot and drops never feed the field, so the decode-first order
+// changes no reception, only which pairs the injector is asked about. A
+// drop is ground truth: the frame never reaches v's protocol, so u's mass
+// delivery and coverage miss v this slot too.
+func (s *Sim) receive(inj Injector) {
+	for v := 0; v < s.n; v++ {
+		s.recvBuf[v] = s.recvBuf[v][:0]
+	}
+	mdl := s.cfg.Model
+	if s.grid == nil || s.maxDecode <= 0 {
+		for v := 0; v < s.n; v++ {
+			if !s.alive[v] {
+				continue
+			}
+			if s.isTxBuf[v] {
+				continue // half-duplex
+			}
+			vw := &s.views[s.chanBuf[v]]
+			for _, u := range vw.tx {
+				// A power-scaled transmission is decodable only within the
+				// reduced range scale^{1/ζ}·R (exact for SINR, and the defining
+				// cutoff for models without a power notion).
+				if s.scaleBuf[u] < 1 {
+					maxRange := math.Pow(s.scaleBuf[u], 1/s.cfg.Zeta) * mdl.R()
+					if s.cfg.Space.Dist(u, v) > maxRange {
+						continue
+					}
+				}
+				if mdl.Decodes(vw, u, v) && (inj == nil || !inj.DropRecv(u, v, s.tick)) {
+					s.recvBuf[v] = append(s.recvBuf[v], Recv{
+						From: u,
+						Msg:  s.msgBuf[u],
+						RSS:  s.field.Power(u, v) * s.scaleBuf[u],
+					})
+				}
+			}
+		}
+		return
+	}
+	zinv := 1 / s.cfg.Zeta
+	for _, u := range s.txBuf {
+		sc := s.scaleBuf[u]
+		cutoff := s.maxDecode
+		if sc > 1 {
+			cutoff *= math.Pow(sc, zinv)
+		} else if sc < 1 {
+			if r := math.Pow(sc, zinv) * mdl.R(); r < cutoff {
+				cutoff = r
+			}
+		}
+		uc := s.chanBuf[u]
+		vw := &s.views[uc]
+		s.idx.TxQueries++
+		it := s.grid.IterWithin(s.euclid.Point(u), cutoff*indexSlack)
+		for {
+			v, ok := it.Next()
+			if !ok {
+				break
+			}
+			s.idx.Candidates++
+			if v == u || s.isTxBuf[v] || s.chanBuf[v] != uc || !s.alive[v] {
+				continue
+			}
+			if sc < 1 {
+				maxRange := math.Pow(sc, zinv) * mdl.R()
+				if s.cfg.Space.Dist(u, v) > maxRange {
+					continue
+				}
+			}
+			if mdl.Decodes(vw, u, v) && (inj == nil || !inj.DropRecv(u, v, s.tick)) {
+				s.recvBuf[v] = append(s.recvBuf[v], Recv{
+					From: u,
+					Msg:  s.msgBuf[u],
+					RSS:  s.field.Power(u, v) * sc,
+				})
+			}
+		}
+	}
 }
 
 // ackOutcome applies Def. ACK for transmitter u: sensed interference within

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark snapshot: runs `go test -bench . -benchmem` over the given
-# packages (default: the simulator hot path and the grid engine's micro
-# benches in internal/metrics) and renders the results as
-# BENCH_<YYYY-MM-DD>.json in the run-manifest shape of internal/metrics —
-# tool/version/started plus one record per benchmark — so benchmark history
-# can be diffed and machine-read like `-manifest` output.
+# packages (default: the simulator hot path, the fault-injected slot and
+# the grid engine's micro benches in internal/metrics) and renders the
+# results as BENCH_<YYYY-MM-DD>.json in the run-manifest shape of
+# internal/metrics — tool/version/started plus one record per benchmark — so
+# benchmark history can be diffed and machine-read like `-manifest` output.
 #
 # The default package set includes the indexed-vs-brute hot-path pair
 # (BenchmarkStepSparse4096Indexed / BenchmarkStepSparse4096Brute in
@@ -25,6 +25,11 @@
 # selective-read claim: the prune_x metric is (scanned+skipped)/scanned
 # bytes and must stay >= 10 for the selective queries.
 #
+# The default set also runs BenchmarkStepFaulted (internal/faults): one slot
+# of n=1024 LocalBcast under 10% stuck transmitters and 20% message drops,
+# the fault-injected hot path that shares the grid-indexed reception
+# driver with clean runs.
+#
 # Custom go-test metrics (b.ReportMetric: bytes/event, events/s, prune_x,
 # bytes_scanned, ...) are captured per benchmark under "metrics".
 #
@@ -42,7 +47,7 @@ if [[ $# -gt 0 && $1 == -- ]]; then
 fi
 pkgs=("$@")
 if [[ ${#pkgs[@]} -eq 0 ]]; then
-  pkgs=(./internal/sim ./internal/metrics ./internal/trace)
+  pkgs=(./internal/sim ./internal/faults ./internal/metrics ./internal/trace)
 fi
 
 version=$(git describe --always --dirty 2>/dev/null || echo unknown)

@@ -46,6 +46,10 @@ go test -short -timeout 5m -run 'Progress|Manifest|Metrics' ./internal/experimen
 # differential property tests under the race detector explicitly so a shard
 # of the suites above can never silently skip them.
 go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgree' ./internal/sim
+# Fault-injected runs share that indexed driver because drops are decided
+# after decoding; race the short-mode differential against the drop-first
+# reference scan (the full scenario matrix runs un-raced above).
+go test -race -short -timeout 10m -run 'TestDecodeFirstDropEquivalence' ./internal/sim
 # The incremental interference field and the quiescence wheel carry the same
 # exactness bar: raced short-mode runs of the differential suite (the full
 # scenario×epoch matrix runs un-raced in the whole-suite pass above), the
