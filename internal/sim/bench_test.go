@@ -75,6 +75,19 @@ func BenchmarkStepNoPrimitives(b *testing.B) {
 	}
 }
 
+// BenchmarkStepFreeAckDense is the slot shape of table1's Decay and
+// FixedProb(Δ) baselines: SINR decoding with FreeAck and no CD, ~51
+// transmitters per slot at n=1024. The decode rule reads the interference
+// field at every candidate listener, so this row tracks the SINR field's
+// materialization on runs without CD.
+func BenchmarkStepFreeAckDense(b *testing.B) {
+	s := benchSim(b, 1024, 1.0/20, FreeAck)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 func BenchmarkStepUDG(b *testing.B) {
 	pts := workload.UniformDisc(1024, workload.SideForDegree(1024, 16, 10), 1)
 	s, err := New(Config{

@@ -29,16 +29,18 @@ import "fmt"
 //
 // Two operating modes cover the field's two consumer shapes:
 //
-//   - Broad (CD granted): every acting node reads the field each slot, so
-//     fieldAdvance materializes all invalid receivers eagerly — either by
-//     the canonical sum over the invalid set, or, when the composition only
-//     *appended* transmitters (each with an id above its channel's previous
-//     maximum, no removals, scale or channel changes, moves or retunes), by
-//     extending every accumulator with the new transmitters' terms, which
-//     is exactly the canonical sum continued.
-//   - Lazy (ACK-only, or SINR without CD): only transmitters (or SINR
-//     decode checks) read the field, so fieldAdvance just maintains the
-//     stamps and fieldAt memoizes the canonical sum per queried receiver.
+//   - Broad (CD granted, or a decode rule that reads the field over cached
+//     transmitter rows): every acting node or candidate listener reads the
+//     field each slot, so fieldAdvance materializes all invalid receivers
+//     eagerly — by the canonical sum over the invalid set or, when the
+//     composition only *appended* transmitters (each with an id above its
+//     channel's previous maximum, no removals, scale or channel changes,
+//     moves or retunes), by extending every accumulator with the new
+//     transmitters' terms, which is exactly the canonical sum continued.
+//   - Lazy (field-oblivious ACK-only runs, and runs without CD over an
+//     uncached field): only transmitters or decode checks read the field,
+//     so fieldAdvance just maintains the stamps and fieldAt memoizes the
+//     canonical sum per queried receiver.
 //
 // One invariant makes the append path sound: in broad mode every receiver is
 // valid at the end of fieldAdvance, so the next slot's append starts from
@@ -96,7 +98,8 @@ type FieldStats struct {
 	// EpochRebuilds counts forced full rebuilds on the FieldEpoch rail.
 	EpochRebuilds int64
 	// LazyEvals counts per-receiver canonical re-summations performed on
-	// demand by field reads in lazy mode.
+	// demand by field reads in lazy mode (see the file header for which
+	// runs are lazy); broad runs report zero.
 	LazyEvals int64
 }
 
@@ -116,9 +119,11 @@ func (s *Sim) fieldInit() {
 	if s.cfg.Channels > 1 {
 		s.chanPrev = make([]int8, n)
 	}
-	// CD hands every acting node a field reading each slot, so the broad
-	// eager mode pays off; everything else reads sparsely and goes lazy.
-	s.broadField = s.cfg.Primitives.Has(CD)
+	// The mode follows the readers: CD gives every acting node a reading, a
+	// field-reading decode rule one per candidate listener. Broad pays when
+	// it streams cached rows, not when it must compute n·|tx| pair powers.
+	s.broadField = s.cfg.Primitives.Has(CD) ||
+		(!fieldOblivious(s.cfg.Model) && s.field.Row(0) != nil)
 	if s.fieldEpoch == 0 {
 		s.fieldEpoch = defaultFieldEpoch
 	}
@@ -278,23 +283,7 @@ func (s *Sim) fieldAdvance() {
 		// because broad mode left every receiver valid for the previous
 		// composition and each added id exceeds its channel's previous
 		// maximum.
-		for _, w := range s.addedBuf {
-			sc := s.scaleBuf[w]
-			wc := s.chanBuf[w]
-			if row := s.field.Row(w); row != nil {
-				for v := 0; v < s.n; v++ {
-					if s.chanBuf[v] == wc {
-						s.totalPower[v] += row[v] * sc
-					}
-				}
-			} else {
-				for v := 0; v < s.n; v++ {
-					if s.chanBuf[v] == wc {
-						s.totalPower[v] += s.field.Power(w, v) * sc
-					}
-				}
-			}
-		}
+		s.fieldSum(s.addedBuf, nil)
 		for v := range s.accSlot {
 			s.accSlot[v] = S
 		}
@@ -315,52 +304,63 @@ func (s *Sim) fieldAdvance() {
 		s.fstat.ReusedSlots++
 		return
 	}
-	inval := s.invalBuf
-	for _, w := range s.txBuf {
-		sc := s.scaleBuf[w]
-		wc := s.chanBuf[w]
-		if row := s.field.Row(w); row != nil {
-			for _, v := range inval {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += row[v] * sc
-				}
-			}
-		} else {
-			for _, v := range inval {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += s.field.Power(w, v) * sc
-				}
-			}
-		}
-	}
+	s.fieldSum(s.txBuf, s.invalBuf)
 	s.fstat.RebuildSlots++
 }
 
 // fieldRebuildAll is the brute recompute with validity stamping — the
 // canonical sum over every receiver.
 func (s *Sim) fieldRebuildAll(S int64) {
-	for v := 0; v < s.n; v++ {
-		s.totalPower[v] = 0
+	clear(s.totalPower)
+	s.fieldSum(s.txBuf, nil)
+	for v := range s.accSlot {
+		s.accSlot[v] = S
 	}
-	for _, w := range s.txBuf {
-		sc := s.scaleBuf[w]
-		wc := s.chanBuf[w]
-		if row := s.field.Row(w); row != nil {
-			for v := 0; v < s.n; v++ {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += row[v] * sc
+}
+
+// fieldSum adds each transmitter's term Power(w,v)·scale(w), in the order of
+// tx, into every same-channel receiver v of recv (nil or all n receivers:
+// every receiver). Every branch does the same multiply-add per term, so
+// each yields the canonical sum bit for bit; the single-channel all-receiver
+// case streams whole cached rows (a transmitter's zero diagonal adds 0).
+func (s *Sim) fieldSum(tx, recv []int) {
+	tp, ch := s.totalPower, s.chanBuf
+	all := recv == nil || len(recv) == s.n
+	for _, w := range tx {
+		sc, wc := s.scaleBuf[w], ch[w]
+		row := s.field.Row(w)
+		switch {
+		case row != nil && all && s.cfg.Channels == 1:
+			for v, p := range row {
+				tp[v] += p * sc
+			}
+		case row != nil && all:
+			for v, p := range row {
+				if ch[v] == wc {
+					tp[v] += p * sc
 				}
 			}
-		} else {
-			for v := 0; v < s.n; v++ {
-				if s.chanBuf[v] == wc {
-					s.totalPower[v] += s.field.Power(w, v) * sc
+		case row != nil:
+			for _, v := range recv {
+				if ch[v] == wc {
+					tp[v] += row[v] * sc
+				}
+			}
+		default: // uncached field: every term computed on the fly
+			m := len(recv)
+			if all {
+				m = len(tp)
+			}
+			for i := 0; i < m; i++ {
+				v := i
+				if !all {
+					v = recv[i]
+				}
+				if ch[v] == wc {
+					tp[v] += s.field.Power(w, v) * sc
 				}
 			}
 		}
-	}
-	for v := range s.accSlot {
-		s.accSlot[v] = S
 	}
 }
 

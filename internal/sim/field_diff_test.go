@@ -27,10 +27,15 @@ func fieldDiffScenarios() []diffScenario {
 		{name: "sinr", n: 200, ticks: 140, seed: 42,
 			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
 			prims: CD | ACK},
-		{name: "sinr-lazy", n: 200, ticks: 140, seed: 43,
-			// ACK without CD: the engine runs in lazy mode (only transmitters
-			// and SINR decode checks read the field).
+		{name: "sinr-ack-broad", n: 200, ticks: 140, seed: 43,
+			// ACK without CD: the SINR decode rule reads the cached field
+			// at every candidate listener, so the engine runs broad.
 			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			prims: ACK},
+		{name: "udg-ack-lazy", n: 200, ticks: 140, seed: 53,
+			// A field-oblivious model with ACK only: transmitters alone read
+			// the field, so the engine runs lazy.
+			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: ACK},
 		{name: "qudg-grey", n: 200, ticks: 140, seed: 44,
 			model: func(func() int) model.Model { return model.NewQUDG(7, 11, grey) },
@@ -43,7 +48,7 @@ func fieldDiffScenarios() []diffScenario {
 		{name: "channels-3", n: 200, ticks: 140, seed: 46, channels: 3,
 			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: CD},
-		{name: "channels-3-sinr-lazy", n: 200, ticks: 140, seed: 47, channels: 3,
+		{name: "channels-3-sinr-ack-broad", n: 200, ticks: 140, seed: 47, channels: 3,
 			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
 			prims: ACK},
 		{name: "power-scales", n: 200, ticks: 140, seed: 48, scales: true,
@@ -55,6 +60,11 @@ func fieldDiffScenarios() []diffScenario {
 		{name: "mobility", n: 200, ticks: 160, seed: 50, dynamic: true,
 			model: func(func() int) model.Model { return model.NewUDG(10) },
 			prims: CD | ACK},
+		{name: "mobility-sinr-ack-lazy", n: 160, ticks: 120, seed: 54, dynamic: true,
+			// A dynamic space has no cached power matrix, so a broad re-sum
+			// would compute every pair power: SINR without CD stays lazy.
+			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
+			prims: ACK},
 		{name: "mobility-sinr-scales", n: 160, ticks: 120, seed: 51, dynamic: true, scales: true,
 			model: func(func() int) model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) },
 			prims: CD | ACK | NTD},
@@ -84,13 +94,15 @@ func runFieldDiff(t *testing.T, sc diffScenario, mode FieldMode, epoch int) stri
 // TestIncrementalFieldEquivalence is the differential suite of the
 // incremental interference field: for every scenario and epoch, the
 // incremental driver must produce the byte-identical history and metrics
-// snapshot as the brute recompute driver. Short mode runs a curated subset;
-// the full matrix runs otherwise (and raced in ci.sh).
+// snapshot as the brute recompute driver. Short mode (raced in ci.sh) runs
+// a subset, chosen by name, that covers both field modes; the full matrix
+// runs otherwise.
 func TestIncrementalFieldEquivalence(t *testing.T) {
 	scenarios := fieldDiffScenarios()
 	epochs := fieldEpochs
 	if testing.Short() {
-		scenarios = []diffScenario{scenarios[1], scenarios[2], scenarios[5], scenarios[9], scenarios[11]}
+		scenarios = pickScenarios(t, scenarios,
+			"sinr", "sinr-ack-broad", "udg-ack-lazy", "channels-3", "mobility", "mobility-sinr-ack-lazy", "faults")
 		epochs = []int{1, 256}
 	}
 	for _, sc := range scenarios {
@@ -109,9 +121,11 @@ func TestIncrementalFieldEquivalence(t *testing.T) {
 }
 
 // TestIncrementalFieldModesExercised guards the differential suite against
-// vacuity: a broad (CD) static scenario must hit the reuse/delta/rebuild
-// paths, a lazy (ACK-only) scenario must resolve through lazy evaluations,
-// and the epoch rail must fire when enabled.
+// vacuity and pins the mode rule: a CD static scenario must hit the
+// reuse/delta/rebuild paths, an ACK-only static SINR run must materialize
+// broad (its decode rule reads the cached field), field-oblivious ACK-only
+// and uncached-field runs must resolve through lazy evaluations, and the
+// epoch rail must fire when enabled.
 func TestIncrementalFieldModesExercised(t *testing.T) {
 	run := func(prims Primitives, epoch int, p float64) (*Sim, FieldStats) {
 		t.Helper()
@@ -139,12 +153,30 @@ func TestIncrementalFieldModesExercised(t *testing.T) {
 		t.Errorf("FieldStats accessor unstable: %+v vs %+v", got, st)
 	}
 
+	// Static SINR without CD: the decode rule reads the cached field.
 	_, st = run(ACK, 256, 0.01)
-	if st.LazyEvals == 0 {
-		t.Errorf("lazy run: no lazy evaluations (stats %+v)", st)
+	if st.LazyEvals != 0 || st.RebuildSlots == 0 {
+		t.Errorf("static ACK-only SINR run: want broad materialization (stats %+v)", st)
 	}
-	if st.DeltaSlots != 0 || st.RebuildSlots != 0 {
-		t.Errorf("lazy run: eager materialization unexpected (stats %+v)", st)
+
+	// The two lazy shapes, from the differential scenario matrix.
+	for _, sc := range pickScenarios(t, fieldDiffScenarios(), "udg-ack-lazy", "mobility-sinr-ack-lazy") {
+		var ls *Sim
+		runDiffCfg(t, sc, false, nil, func(s *Sim) { ls = s })
+		st := ls.FieldStats()
+		if ls.broadField || st.LazyEvals == 0 {
+			t.Errorf("%s: no lazy evaluations (stats %+v)", sc.name, st)
+		}
+		if st.ReusedSlots != 0 || st.DeltaSlots != 0 || st.RebuildSlots != 0 {
+			t.Errorf("%s: eager materialization unexpected (stats %+v)", sc.name, st)
+		}
+	}
+
+	// Beyond the pathloss cache bound a static SINR field is uncached, so
+	// the engine is built lazy.
+	big := newFieldTestSim(t, 2049, 61, ACK, FieldIncremental, 0, 0.01)
+	if big.accSlot == nil || big.broadField || big.field.Row(0) != nil {
+		t.Errorf("n=2049 SINR run: want a lazy engine over an uncached field")
 	}
 
 	// Epoch 1 degenerates to a rebuild every slot.
@@ -164,38 +196,97 @@ func TestIncrementalFieldModesExercised(t *testing.T) {
 	}
 }
 
+// pickScenarios returns the named scenarios of all, in the order named.
+func pickScenarios(t *testing.T, all []diffScenario, names ...string) []diffScenario {
+	t.Helper()
+	var out []diffScenario
+	for _, name := range names {
+		i := 0
+		for i < len(all) && all[i].name != name {
+			i++
+		}
+		if i == len(all) {
+			t.Fatalf("no scenario named %q", name)
+		}
+		out = append(out, all[i])
+	}
+	return out
+}
+
 // TestFieldAppendPath pins the append fast path: a monotone-id set of
 // persistent transmitters (each new transmitter id above every previous
 // one) must resolve through delta slots, byte-identically to recompute.
 func TestFieldAppendPath(t *testing.T) {
-	mk := func(mode FieldMode) (*Sim, []uint64) {
-		s := newFieldTestSimProto(t, 120, 71, CD|ACK, mode, 256, func(id int) Protocol {
+	mk := func(mode FieldMode) *Sim {
+		return newFieldTestSimProto(t, 120, 71, CD|ACK, mode, 256, func(id int) Protocol {
 			// Node id starts transmitting at tick 3*id and never stops:
 			// additions arrive in ascending id order, one at a time.
 			return &rampProto{id: id}
-		})
-		var sums []uint64
-		for i := 0; i < 90; i++ {
-			s.Step()
-			h := uint64(0)
-			for v := 0; v < s.n; v++ {
-				h = h*0x100000001b3 ^ math.Float64bits(s.fieldAt(v))
-			}
-			sums = append(sums, h)
-		}
-		return s, sums
+		}, nil)
 	}
-	si, inc := mk(FieldIncremental)
-	_, rec := mk(FieldRecompute)
-	for i := range inc {
-		if inc[i] != rec[i] {
-			t.Fatalf("field hash diverges at tick %d", i)
-		}
-	}
+	si := mk(FieldIncremental)
+	compareFieldHashes(t, si, mk(FieldRecompute), 90)
 	if st := si.FieldStats(); st.DeltaSlots == 0 {
 		t.Errorf("append path never taken: %+v", st)
 	}
 }
+
+// TestFieldPartialRebuild pins the selective re-sum over cached rows: with
+// nodes parked on three channels whose compositions change at different
+// rates, most slots invalidate only some channels' receivers, and the broad
+// engine (SINR decoding, no CD) re-sums just those, bit-identically to
+// recompute at every receiver.
+func TestFieldPartialRebuild(t *testing.T) {
+	mk := func(mode FieldMode) *Sim {
+		return newFieldTestSimProto(t, 120, 73, ACK, mode, 256, func(id int) Protocol {
+			return &parkedChanProto{id: id}
+		}, func(cfg *Config) { cfg.Channels = 3 })
+	}
+	si := mk(FieldIncremental)
+	compareFieldHashes(t, si, mk(FieldRecompute), 90)
+	if st := si.FieldStats(); st.RebuildSlots == 0 || st.LazyEvals != 0 {
+		t.Errorf("want broad selective rebuilds: %+v", st)
+	}
+}
+
+// compareFieldHashes steps a and b in lockstep for ticks slots and fails at
+// the first slot whose fields differ in any receiver's bits.
+func compareFieldHashes(t *testing.T, a, b *Sim, ticks int) {
+	t.Helper()
+	hash := func(s *Sim) uint64 {
+		h := uint64(0)
+		for v := 0; v < s.n; v++ {
+			h = h*0x100000001b3 ^ math.Float64bits(s.fieldAt(v))
+		}
+		return h
+	}
+	for i := 0; i < ticks; i++ {
+		a.Step()
+		b.Step()
+		if hash(a) != hash(b) {
+			t.Fatalf("field hash diverges at tick %d", i)
+		}
+	}
+}
+
+// parkedChanProto parks node id on channel id%3. Channel 0 carries a fixed set of
+// transmitters, channel 1's set changes every slot and channel 2's every
+// fourth slot.
+type parkedChanProto struct {
+	id, t int
+}
+
+func (c *parkedChanProto) Act(n *Node, slot int) Action {
+	t := c.t
+	c.t++
+	ch, k := c.id%3, c.id/3
+	tx := ch == 0 && k%3 == 0 ||
+		ch == 1 && (k+t)%7 == 0 ||
+		ch == 2 && (k+t/4)%5 == 0
+	return Action{Transmit: tx, Channel: ch, Msg: Message{Kind: 8, Data: int64(c.id)}}
+}
+
+func (c *parkedChanProto) Observe(n *Node, slot int, obs *Observation) {}
 
 // rampProto makes node id a persistent transmitter from tick 3*id on.
 type rampProto struct {
@@ -214,18 +305,20 @@ func (r *rampProto) Act(n *Node, slot int) Action {
 func (r *rampProto) Observe(n *Node, slot int, obs *Observation) {}
 
 // newFieldTestSim builds a static SINR sim with fixed-probability traffic.
+// newFieldTestSimProto takes the protocol factory, and mutate (if non-nil)
+// edits the config before construction.
 func newFieldTestSim(t *testing.T, n int, seed uint64, prims Primitives,
 	mode FieldMode, epoch int, p float64) *Sim {
 	t.Helper()
 	return newFieldTestSimProto(t, n, seed, prims, mode, epoch,
-		func(int) Protocol { return fixedProb(p) })
+		func(int) Protocol { return fixedProb(p) }, nil)
 }
 
 func newFieldTestSimProto(t *testing.T, n int, seed uint64, prims Primitives,
-	mode FieldMode, epoch int, factory ProtocolFactory) *Sim {
+	mode FieldMode, epoch int, factory ProtocolFactory, mutate func(*Config)) *Sim {
 	t.Helper()
 	pts := workload.UniformDisc(n, workload.SideForDegree(n, 16, 9), seed)
-	s, err := New(Config{
+	cfg := Config{
 		Space: metric.NewEuclidean(pts),
 		Model: model.NewSINR(1500, 1.5, 1, 3, 0.1),
 		P:     1500, Zeta: 3, Noise: 1, Eps: 0.1,
@@ -233,7 +326,11 @@ func newFieldTestSimProto(t *testing.T, n int, seed uint64, prims Primitives,
 		Primitives: prims,
 		FieldMode:  mode,
 		FieldEpoch: epoch,
-	}, factory)
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	s, err := New(cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

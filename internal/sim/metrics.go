@@ -107,15 +107,13 @@ func (s *Sim) flushFieldStats() {
 
 // probMass sums the current transmission probabilities of alive protocols
 // implementing ProbReporter — the global probability mass whose vicinity
-// restriction is the paper's contention P^ρ_t(v). O(n); only run on
+// restriction is the paper's contention P^ρ_t(v). O(n) over the reporters
+// resolved at construction and revival, in ascending node order; only run on
 // instrumented slots.
 func (s *Sim) probMass() float64 {
 	total := 0.0
-	for v := 0; v < s.n; v++ {
-		if !s.alive[v] {
-			continue
-		}
-		if pr, ok := s.protos[v].(ProbReporter); ok {
+	for v, pr := range s.reporters {
+		if pr != nil && s.alive[v] {
 			total += pr.TransmitProb()
 		}
 	}

@@ -128,12 +128,15 @@ func TestQuiescenceSkipTransparent(t *testing.T) {
 		mdl   func() model.Model
 		prims Primitives
 	}{
-		// CD exercises the synthesised cdIdle accounting; the SINR case
-		// additionally pins the incremental field's baseline across skipped
-		// windows (the wake slot diffs against the pre-window composition).
+		// CD exercises the synthesised cdIdle accounting; the SINR and ACK
+		// cases additionally pin the incremental field's baseline across
+		// skipped windows (the wake slot diffs against the pre-window
+		// composition). SINR with ACK alone runs the broad field mode (its
+		// decode rule reads the field); UDG with ACK alone runs it lazy.
 		{"udg-cd", func() model.Model { return model.NewUDG(10) }, CD | ACK | NTD},
 		{"sinr-cd", func() model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) }, CD | ACK},
 		{"sinr-lazy", func() model.Model { return model.NewSINR(1500, 1.5, 1, 3, 0.1) }, ACK},
+		{"udg-ack-lazy", func() model.Model { return model.NewUDG(10) }, ACK},
 		{"udg-bare", func() model.Model { return model.NewUDG(10) }, 0},
 	}
 	for _, tc := range cases {

@@ -163,6 +163,7 @@ type Sim struct {
 	alive      []bool
 	nodes      []Node
 	protos     []Protocol
+	reporters  []ProbReporter // protos[v] as a ProbReporter, or nil
 	factory    ProtocolFactory
 	root       *rng.Source
 	generation []uint64
@@ -361,6 +362,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		alive:       make([]bool, n),
 		nodes:       make([]Node, n),
 		protos:      make([]Protocol, n),
+		reporters:   make([]ProbReporter, n),
 		factory:     factory,
 		root:        rng.New(cfg.Seed),
 		generation:  make([]uint64, n),
@@ -386,7 +388,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 	for i := 0; i < n; i++ {
 		s.alive[i] = true
 		s.nodes[i] = Node{ID: i, RNG: s.root.Fork(uint64(i))}
-		s.protos[i] = factory(i)
+		s.setProtocol(i, factory(i))
 		s.firstMass[i] = -1
 		s.firstDecode[i] = -1
 	}
@@ -421,11 +423,7 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 			s.maxDecode = r
 		}
 	}
-	s.needPower = true
-	if fo, ok := cfg.Model.(model.FieldOblivious); ok && fo.FieldOblivious() &&
-		!cfg.Primitives.Has(CD) && !cfg.Primitives.Has(ACK) {
-		s.needPower = false
-	}
+	s.needPower = !fieldOblivious(cfg.Model) || cfg.Primitives.Has(CD) || cfg.Primitives.Has(ACK)
 	s.fieldEpoch = cfg.FieldEpoch
 	if s.needPower && cfg.FieldMode == FieldIncremental {
 		s.fieldInit()
@@ -438,6 +436,13 @@ func New(cfg Config, factory ProtocolFactory) (*Sim, error) {
 		s.met = newStepMetrics(cfg.Metrics, cfg.IndexMetrics)
 	}
 	return s, nil
+}
+
+// fieldOblivious reports whether m declares (model.FieldOblivious) that its
+// decode rule never reads the interference field.
+func fieldOblivious(m model.Model) bool {
+	fo, ok := m.(model.FieldOblivious)
+	return ok && fo.FieldOblivious()
 }
 
 // indexSlack inflates every grid query radius before the exact per-pair
@@ -551,10 +556,17 @@ func (s *Sim) Revive(v int) {
 	s.alive[v] = true
 	s.generation[v]++
 	s.nodes[v] = Node{ID: v, RNG: s.root.Fork(uint64(v) ^ s.generation[v]<<40)}
-	s.protos[v] = s.factory(v)
+	s.setProtocol(v, s.factory(v))
 	if s.grid != nil {
 		s.grid.Insert(v, s.euclid.Point(v))
 	}
+}
+
+// setProtocol installs p as node v's protocol instance, resolving its
+// ProbReporter side once so instrumentation does not assert it per slot.
+func (s *Sim) setProtocol(v int, p Protocol) {
+	s.protos[v] = p
+	s.reporters[v], _ = p.(ProbReporter)
 }
 
 // InvalidOps returns how many Kill/Revive/Move calls named an out-of-range
@@ -732,11 +744,11 @@ func (s *Sim) Contention(v int, radius float64) float64 {
 		if s.cfg.Space.Dist(w, v) >= radius {
 			continue
 		}
-		if pr, ok := s.protos[w].(ProbReporter); ok {
+		if pr := s.reporters[w]; pr != nil {
 			total += pr.TransmitProb()
 		}
 	}
-	if pr, ok := s.protos[v].(ProbReporter); ok && s.alive[v] {
+	if pr := s.reporters[v]; pr != nil && s.alive[v] {
 		total += pr.TransmitProb()
 	}
 	return total

@@ -25,6 +25,10 @@
 # selective-read claim: the prune_x metric is (scanned+skipped)/scanned
 # bytes and must stay >= 10 for the selective queries.
 #
+# BenchmarkStepFreeAckDense (internal/sim) is one slot of the CD-less SINR
+# baselines behind table1 (FreeAck, ~51 transmitters per slot at n=1024):
+# the micro row of the SINR field materialized from cached transmitter rows.
+#
 # The default set also runs BenchmarkStepFaulted (internal/faults): one slot
 # of n=1024 LocalBcast under 10% stuck transmitters and 20% message drops,
 # the fault-injected hot path that shares the grid-indexed reception

@@ -51,7 +51,8 @@ go test -race -timeout 10m -run 'TestGridScanEquivalence|TestGridParallelRunsAgr
 # reference scan (the full scenario matrix runs un-raced above).
 go test -race -short -timeout 10m -run 'TestDecodeFirstDropEquivalence' ./internal/sim
 # The incremental interference field and the quiescence wheel carry the same
-# exactness bar: raced short-mode runs of the differential suite (the full
+# exactness bar: raced short-mode runs of the differential suite (a subset
+# named to cover both the broad and the lazy field mode; the full
 # scenario×epoch matrix runs un-raced in the whole-suite pass above), the
 # skip-transparency metamorphic suite, the cross-goroutine wheel purity
 # property, and the shared-registry lazy-registration regression.
